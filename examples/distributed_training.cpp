@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "example_main.hpp"
 #include "core/model.hpp"
 #include "models/models.hpp"
 
@@ -69,7 +70,7 @@ RunResult run(int ranks, const core::Strategy& strategy) {
 
 }  // namespace
 
-int main() {
+int run_example() {
   const core::NetworkSpec probe = models::make_mesh_model_test(4, 64);
   const int layers = probe.size();
 
@@ -105,3 +106,5 @@ int main() {
               "exactness property.\n");
   return 0;
 }
+
+int main() { return examples::guarded_main("distributed_training", run_example); }

@@ -13,6 +13,7 @@
 // micro-batched trainer, distributed metrics, and checkpointing.
 #include <cstdio>
 
+#include "example_main.hpp"
 #include "core/checkpoint.hpp"
 #include "core/metrics.hpp"
 #include "core/trainer.hpp"
@@ -21,7 +22,7 @@
 
 using namespace distconv;
 
-int main() {
+int run_example() {
   const int ranks = 4;
   const std::int64_t global_batch = 4, size = 256;
   const int micro_batches = 2;  // 2 micro-batches of 2 samples each
@@ -95,3 +96,5 @@ int main() {
   });
   return 0;
 }
+
+int main() { return examples::guarded_main("mesh_tangling", run_example); }

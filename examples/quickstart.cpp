@@ -10,12 +10,13 @@
 //   core::Model        — the per-rank instantiation that trains
 #include <cstdio>
 
+#include "example_main.hpp"
 #include "core/layers.hpp"
 #include "core/model.hpp"
 
 using namespace distconv;
 
-int main() {
+int run_example() {
   const int ranks = 4;
 
   // A small segmentation-style CNN: conv/BN/ReLU stack with a 1x1 head.
@@ -63,3 +64,5 @@ int main() {
               "exchanged halos around every 3x3 convolution.\n");
   return 0;
 }
+
+int main() { return examples::guarded_main("quickstart", run_example); }

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "example_main.hpp"
 #include "core/checkpoint.hpp"
 #include "core/layers.hpp"
 #include "core/model.hpp"
@@ -135,7 +136,7 @@ int run_fleet(serve::ServeOptions opts, int replicas) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_example(int argc, char** argv) {
   int replicas = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--replicas") == 0 && i + 1 < argc) {
@@ -233,4 +234,9 @@ int main(int argc, char** argv) {
               stats.p99_latency_seconds * 1e3);
   std::remove(ckpt);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return examples::guarded_main("serve_quickstart",
+                                [&] { return run_example(argc, argv); });
 }

@@ -12,6 +12,7 @@
 //     impossible without spatial parallelism.
 #include <cstdio>
 
+#include "example_main.hpp"
 #include "kernels/conv.hpp"
 #include "models/models.hpp"
 #include "perf/conv_planner.hpp"
@@ -125,7 +126,7 @@ void conv_plan_report() {
   std::printf("\n");
 }
 
-int main() {
+int run_example() {
   // Strong-scaling regime: few samples, many GPUs.
   explore("mesh 1K model, minibatch 4", models::make_mesh_model_1k(4), 32);
   // Memory-bound regime: the 2K model cannot run sample-parallel at all.
@@ -141,3 +142,5 @@ int main() {
   conv_plan_report();
   return 0;
 }
+
+int main() { return examples::guarded_main("strategy_explorer", run_example); }

@@ -112,18 +112,22 @@ struct LayerRt {
   ProcessGrid grid;
 
   ActTensor y;   ///< output activations (margins: consumers' forward stencils)
-  ActTensor dy;  ///< error wrt output (margins: this layer's transpose stencil)
+  /// Error wrt output; empty when the layer does not need dy. Margins (this
+  /// layer's transpose stencil) only when its dx is live: backward-data is
+  /// their sole reader.
+  ActTensor dy;
 
   /// One port per parent edge.
   struct InputPort {
     int parent = -1;
     ActTensor* read = nullptr;  ///< tensor this layer reads (alias or staging)
-    // Set when the parent's grid differs from ours:
+    // Set when the parent's grid differs from ours (bwd_* only on live ports):
     std::unique_ptr<ActTensor> staging;          ///< forward-shuffled input copy
     std::unique_ptr<Shuffler<float>> fwd_shuffle;
     std::unique_ptr<DistTensor<float>> bwd_staging;  ///< dx in parent's grid
     std::unique_ptr<Shuffler<float>> bwd_shuffle;
-    /// Gradient this layer produces wrt this input (this layer's grid).
+    /// Gradient this layer produces wrt this input (this layer's grid);
+    /// empty when the port's dx is dead (NetworkSpec::dx_live).
     DistTensor<float> dx;
     /// Engine tickets of in-flight shuffle ops for this edge (0 = none):
     /// the forward shuffle pre-posted when the parent finished computing,
@@ -165,6 +169,10 @@ class Layer {
     const auto s = stencil();
     return s.kernel != 1 || s.stride != 1 || s.pad != 0;
   }
+
+  /// True when init_params() allocates trainable parameters — the seed of
+  /// the gradient-liveness pass (NetworkSpec::needs_dy).
+  virtual bool has_params() const { return false; }
 
   /// Allocate and initialize parameters into rt (weights are replicated, so
   /// init must be deterministic given the rng).

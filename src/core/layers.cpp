@@ -88,7 +88,8 @@ struct FcScratch : LayerScratch {
 struct ConvChannelScratch : LayerScratch {
   Tensor<float> w_slice;    ///< w[:, I_C^(c), :, :] — (F, C_loc, K, K)
   Tensor<float> y_partial;  ///< full-F partial sums over local channels
-  Tensor<float> dy_full;    ///< allgathered full-F dL/dy incl. margins
+  /// Allgathered full-F dL/dy incl. margins; allocated by the first backward.
+  Tensor<float> dy_full;
   Tensor<float> dw_slice;   ///< dL/dw[:, I_C^(c), :, :]
   std::vector<float> pack;  ///< collective staging (slice-ordered blocks)
   // Inference (allgather-x) schedule only; allocated lazily on first use so
@@ -132,7 +133,6 @@ void Conv2dLayer::init_scratch(Model& model, int index, LayerRt& rt) const {
   auto scratch = std::make_unique<ConvChannelScratch>();
   const DistTensor<float>& xt = rt.inputs[0].read->t;
   const DistTensor<float>& yt = rt.y.t;
-  const DistTensor<float>& dyt = rt.dy.t;
   const std::int64_t c_loc = xt.local_shape().c;
   scratch->w_slice = Tensor<float>(Shape4{filters_, c_loc, kernel_, kernel_});
   scratch->dw_slice = Tensor<float>(Shape4{filters_, c_loc, kernel_, kernel_});
@@ -141,8 +141,6 @@ void Conv2dLayer::init_scratch(Model& model, int index, LayerRt& rt) const {
   // these shapes agree across the group.
   scratch->y_partial = Tensor<float>(Shape4{
       yt.local_shape().n, filters_, yt.local_shape().h, yt.local_shape().w});
-  const Shape4& db = dyt.buffer().shape();
-  scratch->dy_full = Tensor<float>(Shape4{db.n, filters_, db.h, db.w});
   rt.scratch = std::move(scratch);
 }
 
@@ -305,8 +303,10 @@ void Conv2dLayer::forward_channel_inference(Model& model, int index,
 /// group member the full-F error signal, after which both backward kernels
 /// are *exact* local computations — dL/dw for all filters × the owned channel
 /// columns, dL/dx for the owned channels against the forward weight slice.
+/// When dL/dx is dead only the filter and bias kernels run.
 void Conv2dLayer::backward_channel(Model& model, int index, LayerRt& rt) const {
   auto& port = rt.inputs[0];
+  const bool dx_live = model.spec().dx_live(index, 0);
   DistTensor<float>& xt = port.read->t;
   DistTensor<float>& dyt = rt.dy.t;
   const auto p = conv_params();
@@ -317,12 +317,16 @@ void Conv2dLayer::backward_channel(Model& model, int index, LayerRt& rt) const {
   auto& cgroup = model.channel_comm(index);
   const int pc = cgroup.size();
 
-  // Refresh dL/dy margins first: every group member shares the same spatial
-  // margin frame, so the gathered buffers stay coherent.
-  rt.dy.ensure_fresh();
+  // Refresh dL/dy margins first (backward-data reads them): every group
+  // member shares the same spatial margin frame, so the gathered buffers
+  // stay coherent.
+  if (dx_live) rt.dy.ensure_fresh();
 
   const DimPartition& fpart = dyt.dist().c;
   const Shape4& db = dyt.buffer().shape();
+  if (scratch->dy_full.size() == 0) {
+    scratch->dy_full = Tensor<float>(Shape4{db.n, filters_, db.h, db.w});
+  }
   const SliceBlocks blocks = channel_slice_blocks(fpart, db.n, db.h, db.w);
   scratch->pack.resize(blocks.total);
   comm::allgatherv(cgroup, dyt.buffer().data(),
@@ -357,6 +361,7 @@ void Conv2dLayer::backward_channel(Model& model, int index, LayerRt& rt) const {
                            /*accumulate=*/true);
   }
 
+  if (!dx_live) return;
   const Range2 in_owned = owned_range(port.dx.owned_box());
   if (c_loc > 0) {
     kernels::conv2d_backward_data(scratch->dy_full, dyo, scratch->w_slice,
@@ -430,6 +435,7 @@ void Conv2dLayer::backward(Model& model, int index, LayerRt& rt) const {
   const Origin2 xo = origin_of(xt), dyo = origin_of(dyt);
   DC_REQUIRE(port.read->fresh || port.read->halo == nullptr,
              "conv '", name(), "': input halos were invalidated before backward");
+  const bool dx_live = model.spec().dx_live(index, 0);
 
   // Backward-data needs dL/dy halos; the exchange is hidden behind the
   // filter-gradient kernel, which only reads the owned interior (§IV-A:
@@ -437,7 +443,8 @@ void Conv2dLayer::backward(Model& model, int index, LayerRt& rt) const {
   // convolutions"). With the progress engine, the exchange rides the wire
   // channel behind whatever gradient ops later layers already enqueued, and
   // a background driver can retire it (margin unpack included) mid-kernel.
-  const bool exchange = rt.dy.halo != nullptr && !rt.dy.fresh;
+  // A dead dL/dx skips both the exchange and backward-data.
+  const bool exchange = dx_live && rt.dy.halo != nullptr && !rt.dy.fresh;
   const bool overlap = exchange && model.options().overlap_halo;
   const bool engine = overlap && model.progress_active();
   std::uint64_t halo_ticket = 0;
@@ -465,6 +472,7 @@ void Conv2dLayer::backward(Model& model, int index, LayerRt& rt) const {
     rt.dy.fresh = true;
   }
 
+  if (!dx_live) return;
   const Range2 in_owned = owned_range(port.dx.owned_box());
   kernels::conv2d_backward_data(dyt.buffer(), dyo, w, port.dx.buffer(),
                                 origin_of(port.dx), p, in_owned,
@@ -480,18 +488,10 @@ Shape4 Pool2dLayer::infer_shape(const std::vector<Shape4>& in) const {
   return Shape4{in[0].n, in[0].c, p.out_h(in[0].h), p.out_w(in[0].w)};
 }
 
-void Pool2dLayer::init_scratch(Model& model, int, LayerRt& rt) const {
-  if (mode_ != kernels::PoolMode::kMax) return;
-  auto scratch = std::make_unique<PoolScratch>();
-  // argmax mirrors dL/dy: same distribution and transpose-stencil margins so
-  // it can be halo-exchanged alongside the error signal in backward.
-  scratch->argmax = std::make_unique<DistTensor<std::int64_t>>(
-      &model.comm(), rt.dy.t.dist(), rt.dy.t.margins_h(), rt.dy.t.margins_w());
-  if (!rt.dy.t.margins_h().all_zero() || !rt.dy.t.margins_w().all_zero()) {
-    scratch->argmax_halo =
-        std::make_unique<HaloExchange<std::int64_t>>(scratch->argmax.get());
-  }
-  rt.scratch = std::move(scratch);
+void Pool2dLayer::init_scratch(Model& model, int index, LayerRt& rt) const {
+  // argmax is read only by backward, which runs only where dy is needed.
+  if (mode_ != kernels::PoolMode::kMax || !model.spec().needs_dy(index)) return;
+  rt.scratch = std::make_unique<PoolScratch>();
 }
 
 void Pool2dLayer::forward(Model& model, int, LayerRt& rt) const {
@@ -503,10 +503,22 @@ void Pool2dLayer::forward(Model& model, int, LayerRt& rt) const {
   const Origin2 xo = origin_of(xt), yo = origin_of(yt);
   const std::int64_t in_h = rt.in_shapes[0].h, in_w = rt.in_shapes[0].w;
 
+  // Training forwards record argmax for backward; dy exists by then.
   auto* scratch = dynamic_cast<PoolScratch*>(rt.scratch.get());
   Tensor<std::int64_t>* am = nullptr;
   Origin2 amo{0, 0};
-  if (scratch != nullptr) {
+  if (scratch != nullptr && model.mode() == Mode::kTraining) {
+    if (scratch->argmax == nullptr) {
+      // argmax mirrors dL/dy: same distribution and transpose-stencil
+      // margins so it can be halo-exchanged alongside the error signal.
+      scratch->argmax = std::make_unique<DistTensor<std::int64_t>>(
+          &model.comm(), rt.dy.t.dist(), rt.dy.t.margins_h(),
+          rt.dy.t.margins_w());
+      if (!rt.dy.t.margins_h().all_zero() || !rt.dy.t.margins_w().all_zero()) {
+        scratch->argmax_halo =
+            std::make_unique<HaloExchange<std::int64_t>>(scratch->argmax.get());
+      }
+    }
     am = &scratch->argmax->buffer();
     amo = origin_of_t(*scratch->argmax);
     scratch->argmax_fresh = false;
@@ -765,6 +777,7 @@ void BatchNormLayer::backward(Model& model, int index, LayerRt& rt) const {
     rt.grads[1].data()[c0 + c] += static_cast<float>(vals[c]);          // dbeta
   }
 
+  if (!model.spec().dx_live(index, 0)) return;
   vals[2 * c_loc] = double(xib.ext[0]) * xib.ext[2] * xib.ext[3];
   bn_aggregate(model, index, mode_, vals, c_loc, c0, C, rt.grid.c);
   const double count = vals[2 * c_loc];
@@ -813,9 +826,11 @@ void AddLayer::forward(Model&, int, LayerRt& rt) const {
                        b.interior_box());
 }
 
-void AddLayer::backward(Model&, int, LayerRt& rt) const {
+void AddLayer::backward(Model& model, int index, LayerRt& rt) const {
   DistTensor<float>& dyt = rt.dy.t;
-  for (auto& port : rt.inputs) {
+  for (std::size_t k = 0; k < rt.inputs.size(); ++k) {
+    if (!model.spec().dx_live(index, static_cast<int>(k))) continue;
+    auto& port = rt.inputs[k];
     kernels::copy_region(dyt.buffer(), dyt.interior_box(), port.dx.buffer(),
                          port.dx.interior_box());
   }
@@ -929,7 +944,8 @@ void FullyConnectedLayer::forward(Model& model, int, LayerRt& rt) const {
   unpack_box(scratch->y_flat.data(), yt.interior_box(), yt.buffer());
 }
 
-void FullyConnectedLayer::backward(Model&, int, LayerRt& rt) const {
+void FullyConnectedLayer::backward(Model& model, int index,
+                                   LayerRt& rt) const {
   auto& port = rt.inputs[0];
   DistTensor<float>& dyt = rt.dy.t;
   const std::int64_t n_loc = dyt.local_shape().n;
@@ -938,7 +954,6 @@ void FullyConnectedLayer::backward(Model&, int, LayerRt& rt) const {
   auto* scratch = dynamic_cast<FcScratch*>(rt.scratch.get());
   DC_REQUIRE(scratch != nullptr, "FC backward before forward");
   scratch->dy_flat.resize(static_cast<std::size_t>(n_loc) * out_);
-  scratch->dx_flat.assign(static_cast<std::size_t>(n_loc) * D, 0.0f);
   pack_box(dyt.buffer(), dyt.interior_box(), scratch->dy_flat.data());
   // dW (F × D) += dyᵀ (F × n_loc) · x (n_loc × D)
   kernels::sgemm(true, false, out_, D, n_loc, 1.0f, scratch->dy_flat.data(), out_,
@@ -950,7 +965,9 @@ void FullyConnectedLayer::backward(Model&, int, LayerRt& rt) const {
       }
     }
   }
+  if (!model.spec().dx_live(index, 0)) return;
   // dx (n_loc × D) = dy (n_loc × F) · W (F × D)
+  scratch->dx_flat.assign(static_cast<std::size_t>(n_loc) * D, 0.0f);
   kernels::sgemm(false, false, n_loc, D, out_, 1.0f, scratch->dy_flat.data(), out_,
                  rt.params[0].data(), D, 0.0f, scratch->dx_flat.data(), D);
   unpack_box(scratch->dx_flat.data(), port.dx.interior_box(), port.dx.buffer());

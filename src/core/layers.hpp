@@ -37,6 +37,7 @@ class Conv2dLayer final : public Layer {
 
   Shape4 infer_shape(const std::vector<Shape4>& in) const override;
   StencilSpec stencil() const override { return {kernel_, stride_, pad_}; }
+  bool has_params() const override { return true; }
   void init_params(LayerRt& rt, Rng& rng) const override;
   void init_scratch(Model& model, int index, LayerRt& rt) const override;
   void forward(Model& model, int index, LayerRt& rt) const override;
@@ -93,6 +94,7 @@ class BatchNormLayer final : public Layer {
   Shape4 infer_shape(const std::vector<Shape4>& in) const override {
     return in[0];
   }
+  bool has_params() const override { return true; }
   void init_params(LayerRt& rt, Rng& rng) const override;
   void init_buffers(LayerRt& rt) const override;
   void init_scratch(Model& model, int index, LayerRt& rt) const override;
@@ -155,6 +157,7 @@ class FullyConnectedLayer final : public Layer {
   Shape4 infer_shape(const std::vector<Shape4>& in) const override {
     return Shape4{in[0].n, out_, 1, 1};
   }
+  bool has_params() const override { return true; }
   void init_params(LayerRt& rt, Rng& rng) const override;
   void forward(Model& model, int index, LayerRt& rt) const override;
   void backward(Model& model, int index, LayerRt& rt) const override;

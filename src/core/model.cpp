@@ -171,8 +171,7 @@ Model::Model(const NetworkSpec& spec, comm::Comm& comm, const Strategy& strategy
                " does not span the communicator (", comm.size(), " ranks)");
   }
 
-  const auto shapes = spec.infer_shapes();
-  build_tensors(shapes);
+  build_tensors(spec.infer_shapes());
 
   layer_obs_.reserve(spec.size());
   for (int i = 0; i < spec.size(); ++i) {
@@ -201,6 +200,9 @@ Model::Model(const NetworkSpec& spec, comm::Comm& comm, const Strategy& strategy
   for (int i = 0; i < spec.size(); ++i) {
     Rng rng(seed, 1000 + static_cast<std::uint64_t>(i));
     spec.layer(i).init_params(rts_[i], rng);
+    DC_REQUIRE(rts_[i].params.empty() != spec.layer(i).has_params(), "layer '",
+               spec.layer(i).name(), "': has_params() disagrees with the "
+               "parameters init_params() allocated");
     for (const auto& p : rts_[i].params) {
       DC_CHECK(p.size() > 0);
     }
@@ -270,18 +272,6 @@ void Model::build_tensors(const std::vector<Shape4>& shapes) {
     rt.y.t = DistTensor<float>(comm_, out_dist, ymh, ymw);
     rt.y.init_halo();
 
-    // Margins on dy: this layer's transpose stencil.
-    MarginTable dmh(rt.grid.h), dmw(rt.grid.w);
-    if (spec.layer(i).has_stencil()) {
-      const StencilSpec st = spec.layer(i).stencil();
-      dmh = transpose_stencil_margins(DimPartition(rt.in_shapes[0].h, rt.grid.h),
-                                      out_dist.h, st);
-      dmw = transpose_stencil_margins(DimPartition(rt.in_shapes[0].w, rt.grid.w),
-                                      out_dist.w, st);
-    }
-    rt.dy.t = DistTensor<float>(comm_, out_dist, dmh, dmw);
-    rt.dy.init_halo();
-
     // Input ports.
     const auto& parents = spec.layer(i).parents();
     rt.inputs.resize(parents.size());
@@ -306,15 +296,50 @@ void Model::build_tensors(const std::vector<Shape4>& shapes) {
         const Distribution in_dist_parent = Distribution::make(in_shape, pgrid);
         port.fwd_shuffle =
             std::make_unique<Shuffler<float>>(in_dist_parent, in_dist_mine, *comm_);
+        port.read = port.staging.get();
+      }
+    }
+  }
+}
+
+void Model::build_gradient_tensors() {
+  const NetworkSpec& spec = *spec_;
+  for (int i = 0; i < spec.size(); ++i) {
+    auto& rt = rts_[i];
+    // dy only where it is read; its margins (this layer's transpose stencil)
+    // only where backward-data reads them, i.e. the input's dx is live.
+    if (spec.needs_dy(i)) {
+      const Distribution out_dist = Distribution::make(rt.out_shape, rt.grid);
+      MarginTable dmh(rt.grid.h), dmw(rt.grid.w);
+      if (spec.layer(i).has_stencil() && spec.dx_live(i, 0)) {
+        const StencilSpec st = spec.layer(i).stencil();
+        dmh = transpose_stencil_margins(
+            DimPartition(rt.in_shapes[0].h, rt.grid.h), out_dist.h, st);
+        dmw = transpose_stencil_margins(
+            DimPartition(rt.in_shapes[0].w, rt.grid.w), out_dist.w, st);
+      }
+      rt.dy.t = DistTensor<float>(comm_, out_dist, dmh, dmw);
+      rt.dy.init_halo();
+    }
+    // dx (and, across grids, its backward shuffle) only on live ports.
+    for (std::size_t k = 0; k < rt.inputs.size(); ++k) {
+      if (!spec.dx_live(i, static_cast<int>(k))) continue;
+      auto& port = rt.inputs[k];
+      const Distribution in_dist_mine =
+          Distribution::make(rt.in_shapes[k], rt.grid);
+      const ProcessGrid& pgrid = strategy_.grids[port.parent];
+      if (!(pgrid == rt.grid)) {
+        const Distribution in_dist_parent =
+            Distribution::make(rt.in_shapes[k], pgrid);
         port.bwd_staging =
             std::make_unique<DistTensor<float>>(comm_, in_dist_parent);
-        port.bwd_shuffle =
-            std::make_unique<Shuffler<float>>(in_dist_mine, in_dist_parent, *comm_);
-        port.read = port.staging.get();
+        port.bwd_shuffle = std::make_unique<Shuffler<float>>(
+            in_dist_mine, in_dist_parent, *comm_);
       }
       port.dx = DistTensor<float>(comm_, in_dist_mine);
     }
   }
+  gradient_tensors_built_ = true;
 }
 
 comm::Comm& Model::spatial_comm(int layer) {
@@ -350,6 +375,9 @@ void Model::set_input(int layer, const Tensor<float>& global) {
 
 void Model::forward(Mode mode) {
   mode_ = mode;
+  if (mode == Mode::kTraining && !gradient_tensors_built_) {
+    build_gradient_tensors();
+  }
   const bool engine_moves = progress_active();
   const bool timing = obs::timing_enabled();
   for (int i = 0; i < num_layers(); ++i) {
@@ -399,10 +427,7 @@ double Model::loss_bce(const Tensor<float>& global_targets,
   DC_REQUIRE(global_targets.shape() == rt.out_shape, "target shape ",
              global_targets.shape().str(), " != output shape ",
              rt.out_shape.str());
-  for (auto& r : rts_) {
-    r.dy.t.zero();
-    r.dy.mark_stale();
-  }
+  zero_live_dy();
   const Box4 ib = rt.y.t.interior_box();
   const Box4 ob = rt.y.t.owned_box();
   double loss = kernels::sigmoid_bce_forward(rt.y.t.buffer(), ib, global_targets,
@@ -411,9 +436,11 @@ double Model::loss_bce(const Tensor<float>& global_targets,
   const double total = static_cast<double>(rt.out_shape.size());
   const double grad_total =
       grad_scale_count > 0 ? static_cast<double>(grad_scale_count) : total;
-  kernels::sigmoid_bce_backward(rt.y.t.buffer(), ib, global_targets, ob,
-                                rt.dy.t.buffer(), rt.dy.t.interior_box(),
-                                static_cast<float>(1.0 / grad_total));
+  if (seeds_output_dy()) {
+    kernels::sigmoid_bce_backward(rt.y.t.buffer(), ib, global_targets, ob,
+                                  rt.dy.t.buffer(), rt.dy.t.interior_box(),
+                                  static_cast<float>(1.0 / grad_total));
+  }
   loss_seeded_ = true;
   return loss / total;
 }
@@ -429,10 +456,7 @@ double Model::loss_softmax(const std::vector<int>& labels,
              "(the per-sample softmax reads all classes locally)");
   DC_REQUIRE(static_cast<std::int64_t>(labels.size()) == rt.out_shape.n,
              "label count mismatch");
-  for (auto& r : rts_) {
-    r.dy.t.zero();
-    r.dy.mark_stale();
-  }
+  zero_live_dy();
 
   const std::int64_t n_loc = rt.y.t.local_shape().n;
   const std::int64_t ns = rt.y.t.owned_start(0);
@@ -445,21 +469,40 @@ double Model::loss_softmax(const std::vector<int>& labels,
                                   labels.begin() + ns + n_loc);
     Tensor<float> probs(logits.shape());
     loss = kernels::softmax_xent_forward(logits, local_labels, probs);
-    const double grad_total = grad_scale_count > 0
-                                  ? static_cast<double>(grad_scale_count)
-                                  : static_cast<double>(rt.out_shape.n);
-    Tensor<float> dlogits(logits.shape());
-    kernels::softmax_xent_backward(probs, local_labels, dlogits,
-                                   static_cast<float>(1.0 / grad_total));
-    unpack_box(dlogits.data(), rt.dy.t.interior_box(), rt.dy.t.buffer());
+    if (seeds_output_dy()) {
+      const double grad_total = grad_scale_count > 0
+                                    ? static_cast<double>(grad_scale_count)
+                                    : static_cast<double>(rt.out_shape.n);
+      Tensor<float> dlogits(logits.shape());
+      kernels::softmax_xent_backward(probs, local_labels, dlogits,
+                                     static_cast<float>(1.0 / grad_total));
+      unpack_box(dlogits.data(), rt.dy.t.interior_box(), rt.dy.t.buffer());
+    }
   }
   comm::allreduce(*comm_, &loss, 1, comm::ReduceOp::kSum);
   loss_seeded_ = true;
   return loss / static_cast<double>(rt.out_shape.n);
 }
 
-void Model::accumulate_into_parent_dy(LayerRt& rt) {
-  for (auto& port : rt.inputs) {
+bool Model::seeds_output_dy() const {
+  return mode_ == Mode::kTraining && gradient_tensors_built_ &&
+         spec_->needs_dy(output_layer());
+}
+
+void Model::zero_live_dy() {
+  if (mode_ != Mode::kTraining || !gradient_tensors_built_) return;
+  for (int i = 0; i < num_layers(); ++i) {
+    if (!spec_->needs_dy(i)) continue;
+    rts_[i].dy.t.zero();
+    rts_[i].dy.mark_stale();
+  }
+}
+
+void Model::accumulate_into_parent_dy(int layer) {
+  auto& rt = rts_[layer];
+  for (std::size_t k = 0; k < rt.inputs.size(); ++k) {
+    if (!spec_->dx_live(layer, static_cast<int>(k))) continue;
+    auto& port = rt.inputs[k];
     auto& pdy = rts_[port.parent].dy;
     if (port.bwd_shuffle != nullptr) {
       port.bwd_shuffle->run(port.dx, *port.bwd_staging);
@@ -477,6 +520,7 @@ void Model::accumulate_into_parent_dy(LayerRt& rt) {
 void Model::defer_parent_dy(int layer) {
   auto& rt = rts_[layer];
   for (std::size_t k = 0; k < rt.inputs.size(); ++k) {
+    if (!spec_->dx_live(layer, static_cast<int>(k))) continue;
     auto& port = rt.inputs[k];
     if (port.bwd_shuffle != nullptr) {
       port.pending_bwd_shuffle =
@@ -644,13 +688,15 @@ void Model::backward(bool accumulate, bool complete) {
     // Children ran already (reverse order): fold their deferred error
     // contributions into this layer's dy before its backward reads it.
     if (engine_moves) apply_pending_dy(i);
-    if (!layer.parents().empty()) {
+    // A layer that does not need dy has no parameters and no live input
+    // port: its backward would produce nothing anyone reads.
+    if (spec_->needs_dy(i)) {
       layer.backward(*this, i, rt);
       if (overlap) engine_.progress();
       if (engine_moves) {
         defer_parent_dy(i);
       } else {
-        accumulate_into_parent_dy(rt);
+        accumulate_into_parent_dy(i);
       }
     }
     // This layer's gradients are final (later layers only touch their own):

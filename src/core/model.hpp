@@ -7,6 +7,11 @@
 //   * activation tensors get margins merged over their same-grid stencil
 //     consumers; error tensors get the layer's transpose-stencil margins;
 //   * edges whose endpoint grids differ get Shufflers (§III-C);
+//   * error tensors, dx buffers and backward shuffles exist only where the
+//     spec's gradient liveness (NetworkSpec::needs_dy / dx_live) says some
+//     parameter gradient depends on them, and only once the model trains:
+//     the first training-mode forward() builds them, so a model that only
+//     serves holds none;
 //   * parameters are replicated and deterministically initialized, so they
 //     stay bitwise identical across ranks after every allreduced update.
 //
@@ -153,12 +158,21 @@ class Model {
   std::int64_t num_parameters() const;
 
   /// Total bytes this rank allocated for activations/errors (memory model
-  /// validation).
+  /// validation). Error buffers count from the first training forward().
   std::int64_t activation_bytes() const;
 
  private:
   void build_tensors(const std::vector<Shape4>& shapes);
-  void accumulate_into_parent_dy(LayerRt& rt);
+  /// Error signals, dx buffers and backward shuffles of the live gradient
+  /// edges; run by the first training-mode forward().
+  void build_gradient_tensors();
+  /// Zero (and mark stale) every live dy after a training forward.
+  void zero_live_dy();
+  /// loss_*() seeds the output's dy only after a training forward (the only
+  /// kind backward() accepts) and only when the output needs dy.
+  bool seeds_output_dy() const;
+  /// Blocking backward: add each live port's dx into its parent's dy.
+  void accumulate_into_parent_dy(int layer);
   /// Overlapped backward: enqueue each parent edge's dx move (a shuffle op
   /// for cross-grid edges) and record the contribution; the adds into the
   /// parents' dy are applied by apply_pending_dy() right before each parent
@@ -202,6 +216,7 @@ class Model {
   std::vector<LayerObs> layer_obs_;
   double grad_completion_seconds_ = 0;
   bool loss_seeded_ = false;
+  bool gradient_tensors_built_ = false;
   Mode mode_ = Mode::kTraining;  ///< mode of the most recent forward()
 };
 

@@ -13,6 +13,9 @@ int NetworkSpec::add(std::unique_ptr<Layer> layer) {
                p, " which does not precede it (layers must be added in "
                "topological order)");
   }
+  bool needs = layer->has_params();
+  for (int p : layer->parents()) needs = needs || needs_dy_[p];
+  needs_dy_.push_back(needs);
   layers_.push_back(std::move(layer));
   return index;
 }
@@ -20,6 +23,18 @@ int NetworkSpec::add(std::unique_ptr<Layer> layer) {
 const Layer& NetworkSpec::layer(int i) const {
   DC_REQUIRE(i >= 0 && i < size(), "layer index ", i, " out of range");
   return *layers_[i];
+}
+
+bool NetworkSpec::needs_dy(int i) const {
+  DC_REQUIRE(i >= 0 && i < size(), "layer index ", i, " out of range");
+  return needs_dy_[i];
+}
+
+bool NetworkSpec::dx_live(int i, int port) const {
+  const auto& parents = layer(i).parents();
+  DC_REQUIRE(port >= 0 && port < static_cast<int>(parents.size()), "layer ", i,
+             " has no input port ", port);
+  return needs_dy_[parents[port]];
 }
 
 std::vector<Shape4> NetworkSpec::infer_shapes() const {

@@ -28,8 +28,19 @@ class NetworkSpec {
   /// Children adjacency (index-aligned).
   std::vector<std::vector<int>> children() const;
 
+  /// Gradient liveness, the single definition the runtime and the cost
+  /// model share: layer `i` needs its error signal dL/dy iff it, or any
+  /// ancestor, has trainable parameters. Nothing else reads dL/dy, so a
+  /// layer that does not need it gets no dy buffer and no backward.
+  bool needs_dy(int i) const;
+
+  /// dL/dx of layer `i`'s input port `port` is live iff its parent needs dy;
+  /// a dead port gets no dx, no backward shuffle, and is never computed.
+  bool dx_live(int i, int port) const;
+
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
+  std::vector<bool> needs_dy_;  ///< filled by add() (parents precede children)
 };
 
 /// Convenience builder. Methods return the new layer's index.

@@ -30,7 +30,7 @@ LayerCost channel_filter_cost(const ConvLayerDesc& desc, int grid_n, int pc,
   work.f = desc.f;
   work.kh = desc.k;
   work.kw = desc.k;
-  cost.bpx_compute = compute.conv_bwd_data(work);
+  if (desc.dx_live) cost.bpx_compute = compute.conv_bwd_data(work);
   cost.bpw_compute = compute.conv_bwd_filter(work);
 
   // Forward, kReduceScatterY (training, core/layers.cpp forward_channel):
@@ -66,13 +66,17 @@ LayerCost channel_filter_cost(const ConvLayerDesc& desc, int grid_n, int pc,
     cost.fp_compute = compute.conv_fwd(work);
     if (pc > 1) cost.fp_halo = 0.5 * comm.allreduce_ring(pc, y_bytes);
   }
+  // The dL/dy allgather feeds backward-filter too, so it stays when dL/dx
+  // is dead; the dL/dy halo is read by backward-data alone.
   if (pc > 1) {
     cost.bpx_halo = 0.5 * comm.allreduce_ring(pc, y_bytes);
   }
   if (grid_h > 1 || grid_w > 1) {
     const ProcessGrid grid{grid_n, pc, grid_h, grid_w};
     cost.fp_halo += halo_exchange_time(desc, grid, comm, false) / pc;
-    cost.bpx_halo += halo_exchange_time(desc, grid, comm, true) / pc;
+    if (desc.dx_live) {
+      cost.bpx_halo += halo_exchange_time(desc, grid, comm, true) / pc;
+    }
   }
 
   // Weight gradients: each rank owns an F × C/pc slice, so the completing

@@ -101,11 +101,13 @@ LayerCost conv_layer_cost(const ConvLayerDesc& desc, const ProcessGrid& grid,
   work.kw = desc.k;
 
   cost.fp_compute = compute.conv_fwd(work);
-  cost.bpx_compute = compute.conv_bwd_data(work);
   cost.bpw_compute = compute.conv_bwd_filter(work);
-
   cost.fp_halo = halo_exchange_time(desc, grid, comm, /*on_error_signal=*/false);
-  cost.bpx_halo = halo_exchange_time(desc, grid, comm, /*on_error_signal=*/true);
+  if (desc.dx_live) {
+    cost.bpx_compute = compute.conv_bwd_data(work);
+    cost.bpx_halo =
+        halo_exchange_time(desc, grid, comm, /*on_error_signal=*/true);
+  }
 
   const double ar_bytes = 4.0 * double(desc.f) * desc.c * desc.k * desc.k;
   cost.allreduce = comm.allreduce(total_ranks, ar_bytes);

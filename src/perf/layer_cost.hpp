@@ -16,6 +16,10 @@ struct ConvLayerDesc {
   std::int64_t n = 1, c = 1, h = 1, w = 1;  ///< input tensor
   std::int64_t f = 1;                       ///< filters
   int k = 1, s = 1, p = 0;                  ///< square kernel/stride/pad
+  /// dL/dx is read upstream (core::NetworkSpec::dx_live). When false the
+  /// backward runs only the filter (and bias) kernels: no backward-data
+  /// compute and no dL/dy halo exchange.
+  bool dx_live = true;
 
   std::int64_t out_h() const { return (h + 2 * p - k) / s + 1; }
   std::int64_t out_w() const { return (w + 2 * p - k) / s + 1; }
@@ -24,8 +28,10 @@ struct ConvLayerDesc {
 struct LayerCost {
   double fp_compute = 0;   ///< C(I_N, I_C, I_H, I_W, I_F)
   double fp_halo = 0;      ///< 2SR(edge) + 2SR(edge) + 4SR(corner)
-  double bpx_compute = 0;  ///< C_x(...)
-  double bpx_halo = 0;     ///< halo exchange on dL/dy
+  double bpx_compute = 0;  ///< C_x(...); 0 when dL/dx is dead
+  /// dL/dy halo exchange (plus the channel-parallel dL/dy allgather, which
+  /// backward-filter also reads); no halo when dL/dx is dead
+  double bpx_halo = 0;
   double bpw_compute = 0;  ///< C_w(...)
   double allreduce = 0;    ///< BP_ℓ^a = AR(P, I_F·I_C·K²)
   double boundary_overhead = 0;  ///< extra kernel launches for §IV-A splitting

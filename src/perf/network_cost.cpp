@@ -33,7 +33,9 @@ struct AuxCost {
 };
 
 /// Costs of the non-conv layers (BN statistics + traffic, element-wise
-/// traffic, pooling with its halo).
+/// traffic, pooling with its halo). Backward is priced as the runtime runs it
+/// under gradient liveness: nothing for a layer that does not need dy (its
+/// backward is skipped), and no dL/dx work on a dead input port.
 AuxCost aux_layer_cost(const core::NetworkSpec& spec, int i,
                        const std::vector<Shape4>& shapes,
                        const ProcessGrid& grid, const CommModel& comm,
@@ -41,12 +43,16 @@ AuxCost aux_layer_cost(const core::NetworkSpec& spec, int i,
   AuxCost aux;
   const core::Layer& layer = spec.layer(i);
   const double local_bytes = 4.0 * local_elements(shapes[i], grid);
+  const bool backward = spec.needs_dy(i);
 
   if (const auto* bn = dynamic_cast<const core::BatchNormLayer*>(&layer)) {
     // Forward: statistics pass + normalize pass; backward: reduction pass +
-    // apply pass (each reads x and dy).
+    // apply pass (each reads x and dy). A dead dL/dx leaves the reduction
+    // pass alone: no statistics allreduce, no apply pass.
+    const bool dx = spec.dx_live(i, 0);
     aux.forward = elementwise_time(local_bytes, 3, 2, m);
-    aux.backward = elementwise_time(local_bytes, 5, 2, m);
+    aux.backward = dx ? elementwise_time(local_bytes, 5, 2, m)
+                      : elementwise_time(local_bytes, 2, 1, m);
     const double stat_bytes = 3.0 * 4.0 * shapes[i].c;  // Σx, Σx², count
     int group = 1;
     switch (bn->mode()) {
@@ -56,7 +62,7 @@ AuxCost aux_layer_cost(const core::NetworkSpec& spec, int i,
     }
     if (group > 1) {
       aux.forward += comm.allreduce(group, stat_bytes);
-      aux.backward += comm.allreduce(group, stat_bytes);
+      if (dx) aux.backward += comm.allreduce(group, stat_bytes);
     }
     // Running-stat tracking (engine default, ModelOptions::
     // bn_track_running_stats): training forwards aggregate the statistics
@@ -68,10 +74,16 @@ AuxCost aux_layer_cost(const core::NetworkSpec& spec, int i,
     aux.allreduce = comm.allreduce(total_ranks, 2.0 * 4.0 * shapes[i].c);
     return aux;
   }
-  if (dynamic_cast<const core::ReluLayer*>(&layer) != nullptr ||
-      dynamic_cast<const core::AddLayer*>(&layer) != nullptr) {
+  if (dynamic_cast<const core::ReluLayer*>(&layer) != nullptr) {
     aux.forward = elementwise_time(local_bytes, 2, 1, m);
-    aux.backward = elementwise_time(local_bytes, 3, 1, m);
+    if (backward) aux.backward = elementwise_time(local_bytes, 3, 1, m);
+    return aux;
+  }
+  if (dynamic_cast<const core::AddLayer*>(&layer) != nullptr) {
+    aux.forward = elementwise_time(local_bytes, 2, 1, m);
+    // Backward reads dy once and writes each live port's dx.
+    const int live = int(spec.dx_live(i, 0)) + int(spec.dx_live(i, 1));
+    if (backward) aux.backward = elementwise_time(local_bytes, 1 + live, 1, m);
     return aux;
   }
   if (const auto* pool = dynamic_cast<const core::Pool2dLayer*>(&layer)) {
@@ -79,7 +91,6 @@ AuxCost aux_layer_cost(const core::NetworkSpec& spec, int i,
     const double in_bytes = 4.0 * local_elements(in, grid);
     const auto p = pool->pool_params();
     aux.forward = elementwise_time(in_bytes + local_bytes, 1, 1, m);
-    aux.backward = elementwise_time(in_bytes + local_bytes, 1, 1, m);
     ConvLayerDesc d;
     d.n = in.n;
     d.c = in.c;
@@ -90,7 +101,10 @@ AuxCost aux_layer_cost(const core::NetworkSpec& spec, int i,
     d.s = p.sh;
     d.p = p.ph;
     aux.forward += halo_exchange_time(d, grid, comm, false);
-    aux.backward += halo_exchange_time(d, grid, comm, true);
+    if (backward) {
+      aux.backward = elementwise_time(in_bytes + local_bytes, 1, 1, m) +
+                     halo_exchange_time(d, grid, comm, true);
+    }
     return aux;
   }
   if (dynamic_cast<const core::GlobalAvgPoolLayer*>(&layer) != nullptr) {
@@ -99,7 +113,7 @@ AuxCost aux_layer_cost(const core::NetworkSpec& spec, int i,
     const int group = grid.h * grid.w;
     aux.forward = elementwise_time(in_bytes, 1, 1, m) +
                   comm.allreduce(group, 4.0 * local_elements(shapes[i], grid));
-    aux.backward = aux.forward;
+    if (backward) aux.backward = aux.forward;
     return aux;
   }
   return aux;  // Input / FC (not present in the evaluated nets) are free.
@@ -122,6 +136,7 @@ std::optional<ConvLayerDesc> conv_desc(const core::NetworkSpec& spec, int i,
   d.k = p.kh;
   d.s = p.sh;
   d.p = p.ph;
+  d.dx_live = spec.dx_live(i, 0);
   return d;
 }
 
@@ -133,14 +148,16 @@ MemoryEstimate estimate_memory_impl(const core::NetworkSpec& spec,
                                     int total_ranks, bool inference) {
   const auto shapes = spec.infer_shapes();
   MemoryEstimate est;
-  // Training holds y + dy local blocks; forward-only serving holds y alone.
-  const double act_copies = inference ? 1.0 : 2.0;
   // Training replicates parameters, gradients and momentum on every rank;
   // serving needs the parameters alone.
   const double param_copies = inference ? 1.0 : 3.0;
+  // Every layer holds its y block; training adds dy where it is live.
+  double y_bytes = 0;
   for (int i = 0; i < spec.size(); ++i) {
-    est.activation_bytes +=
-        act_copies * 4.0 * local_elements(shapes[i], strategy.grids[i]);
+    const double bytes = 4.0 * local_elements(shapes[i], strategy.grids[i]);
+    y_bytes += bytes;
+    est.activation_bytes += bytes;
+    if (!inference && spec.needs_dy(i)) est.activation_bytes += bytes;
   }
   for (int i = 0; i < spec.size(); ++i) {
     if (const auto d = conv_desc(spec, i, shapes)) {
@@ -158,7 +175,7 @@ MemoryEstimate estimate_memory_impl(const core::NetworkSpec& spec,
   // degradation).
   est.pressured =
       est.comm_bytes > machine.pressure_comm_bytes &&
-      est.activation_bytes / act_copies > machine.pressure_activation_bytes;
+      y_bytes > machine.pressure_activation_bytes;
   return est;
 }
 
@@ -218,12 +235,16 @@ NetworkCost network_cost(const core::NetworkSpec& spec,
       aux_bp[i] = aux.backward;
       aux_ar[i] = aux.allreduce;
     }
-    for (int parent : spec.layer(i).parents()) {
+    const auto& parents = spec.layer(i).parents();
+    for (std::size_t k = 0; k < parents.size(); ++k) {
+      const int parent = parents[k];
       if (!(strategy.grids[parent] == strategy.grids[i])) {
         const double bytes =
             4.0 * local_elements(shapes[parent], strategy.grids[parent]);
         const double one_way = comm.alltoall(P, bytes);
         cost.shuffle += one_way;  // forward direction: always exposed
+        // A dead dL/dx builds no backward shuffle.
+        if (!spec.dx_live(i, static_cast<int>(k))) continue;
         if (options.overlap_shuffle) {
           bwd_shuffle[i] += one_way;  // rides the backward wire channel
         } else {

@@ -26,7 +26,7 @@ struct NetworkCostOptions {
 };
 
 struct MemoryEstimate {
-  double activation_bytes = 0;  ///< y + dy local blocks
+  double activation_bytes = 0;  ///< y local blocks + dy where live
   double parameter_bytes = 0;   ///< params + grads + momentum
   double comm_bytes = 0;        ///< job-size-dependent buffers
   double total_bytes = 0;       ///< with workspace multiplier + base

@@ -3,6 +3,7 @@
 #include "models/models.hpp"
 #include "perf/network_cost.hpp"
 #include "sim/experiment.hpp"
+#include "support/intmath.hpp"
 
 namespace distconv::perf {
 namespace {
@@ -204,8 +205,22 @@ TEST(InferenceCost, ForwardOnlyMemoryFootprintIsSmaller) {
   const auto strategy = core::Strategy::hybrid(spec.size(), 16, 4);
   const auto train = estimate_memory(spec, strategy, kMachine, 16);
   const auto infer = estimate_memory_inference(spec, strategy, kMachine, 16);
-  // y only (no dy), params only (no grads/momentum).
-  EXPECT_NEAR(infer.activation_bytes, train.activation_bytes / 2.0, 1.0);
+  // Inference holds y only; training adds dy wherever it is live, so it
+  // holds two copies of every block except the dead dy blocks (here the
+  // input's: no layer upstream of conv1_1 has parameters).
+  const auto shapes = spec.infer_shapes();
+  double dead_dy_bytes = 0;
+  for (int i = 0; i < spec.size(); ++i) {
+    if (spec.needs_dy(i)) continue;
+    const Shape4& s = shapes[i];
+    const ProcessGrid& g = strategy.grids[i];
+    dead_dy_bytes += 4.0 * double(ceil_div(s.n, g.n)) * ceil_div(s.c, g.c) *
+                     ceil_div(s.h, g.h) * ceil_div(s.w, g.w);
+  }
+  EXPECT_GT(dead_dy_bytes, 0.0);
+  EXPECT_NEAR(train.activation_bytes,
+              2.0 * infer.activation_bytes - dead_dy_bytes, 1.0);
+  // Params only (no grads/momentum).
   EXPECT_NEAR(infer.parameter_bytes, train.parameter_bytes / 3.0, 1.0);
   EXPECT_LT(infer.total_bytes, train.total_bytes);
 }
