@@ -317,10 +317,10 @@ void Conv2dLayer::backward_channel(Model& model, int index, LayerRt& rt) const {
   auto& cgroup = model.channel_comm(index);
   const int pc = cgroup.size();
 
-  // Refresh dL/dy margins first (backward-data reads them): every group
-  // member shares the same spatial margin frame, so the gathered buffers
-  // stay coherent.
-  if (dx_live) rt.dy.ensure_fresh();
+  // Refresh dL/dy margins first (backward-data reads them; with a dead
+  // dL/dx dy has none): every group member shares the same spatial margin
+  // frame, so the gathered buffers stay coherent.
+  rt.dy.ensure_fresh();
 
   const DimPartition& fpart = dyt.dist().c;
   const Shape4& db = dyt.buffer().shape();
@@ -443,8 +443,9 @@ void Conv2dLayer::backward(Model& model, int index, LayerRt& rt) const {
   // convolutions"). With the progress engine, the exchange rides the wire
   // channel behind whatever gradient ops later layers already enqueued, and
   // a background driver can retire it (margin unpack included) mid-kernel.
-  // A dead dL/dx skips both the exchange and backward-data.
-  const bool exchange = dx_live && rt.dy.halo != nullptr && !rt.dy.fresh;
+  // A dead dL/dx leaves dy without margins, hence without an exchange, and
+  // skips backward-data.
+  const bool exchange = rt.dy.halo != nullptr && !rt.dy.fresh;
   const bool overlap = exchange && model.options().overlap_halo;
   const bool engine = overlap && model.progress_active();
   std::uint64_t halo_ticket = 0;
