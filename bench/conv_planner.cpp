@@ -14,8 +14,9 @@
 // --json dumps the distconv-bench-train-v1 schema; tools/check_bench
 // compares such a dump against the committed baseline in bench-smoke CI and
 // additionally gates (a) every exact_vs_auto bit and (b) a minimum
-// best-row speedup — the planner must beat the heuristic somewhere (on this
-// set it is res3b, where gemm-strips drops the im2col pack entirely).
+// best-row speedup — the planner must beat the heuristic somewhere. Since
+// kIm2col lowers implicitly, gemm-strips no longer has an im2col pack to
+// drop on res3b, and planned and kAuto rows mostly run the same kernel.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>

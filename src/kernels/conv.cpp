@@ -21,11 +21,13 @@ void check_weights(const Tensor<float>& w, const ConvParams& p) {
              " does not match kernel size ", p.kh, "x", p.kw);
 }
 
-/// The GEMM-backed paths tile their lowering buffers into strips of at most
-/// this many floats (~2 MiB) by default, so buffer size is bounded
-/// regardless of the range; the forward/backward-data strips only split the
-/// GEMM's n dimension, which leaves every output element's accumulation
-/// chain unchanged (and makes the strip budget a free planner knob there).
+/// Default lowering-strip budget in floats (~2 MiB). kGemmStrips tiles its
+/// fallback packing buffers into strips of at most this size; its forward
+/// and backward-data strips only split the GEMM's n dimension, which leaves
+/// every output element's accumulation chain unchanged (and makes the budget
+/// a free planner knob there). Backward filter's strips split the k
+/// dimension at this fixed height in both GEMM families: the strip sequence
+/// is part of dw's accumulation chain.
 constexpr std::int64_t kLoweringStripElems = 1 << 19;
 
 /// kAuto sentinel = "no override". Seeded lazily from DC_CONV_ALGO.
@@ -97,8 +99,8 @@ ConvAlgo conv_algo_override() {
 ConvAlgo resolve_conv_algo(ConvAlgo algo, const ConvParams& p, std::int64_t c,
                            std::int64_t f) {
   if (algo != ConvAlgo::kAuto) return algo;
-  // Arithmetic-intensity cutoff: the im2col pack writes C·Kh·Kw floats per
-  // output position and the GEMM reads each back F times. Shallow stencils
+  // Arithmetic-intensity cutoff: the GEMM's panel gather packs C·Kh·Kw
+  // floats per output position and reuses each F times. Shallow stencils
   // (small C·Kh·Kw) or few filters leave the GEMM memory-bound on packing
   // traffic, where the direct stencil — which touches x only once per
   // (c, a, b) — wins.
@@ -281,50 +283,53 @@ void conv2d_forward_direct(const Tensor<float>& x, Origin2 xo,
   });
 }
 
-/// Strip height for a lowering buffer of depth `depth` floats per output
-/// position over rows of width `rw`, within a budget of `elems` floats
-/// (0 = the default). Depends only on shapes and the plan, never on the
-/// thread budget.
-std::int64_t lowering_strip_height(std::int64_t depth, std::int64_t rw,
-                                   std::int64_t elems = 0) {
-  if (elems <= 0) elems = kLoweringStripElems;
-  const std::int64_t target_rows = std::max<std::int64_t>(1, elems / depth);
-  return std::max<std::int64_t>(1, target_rows / std::max<std::int64_t>(1, rw));
+/// Tap index (c, a, b) of a weight row → offset of that tap's input element
+/// in a buffer with strides `st`.
+IndexMap tap_map(const Strides4& st, const ConvParams& p) {
+  return {p.kh, p.kw, st.c, st.h, st.w};
 }
 
+/// Position index (sample, row, col) over an rh × rw grid → buffer offset,
+/// stepping `sh` buffer rows and `sw` buffer columns per grid step.
+IndexMap position_map(const Strides4& st, std::int64_t rh, std::int64_t rw,
+                      std::int64_t sh = 1, std::int64_t sw = 1) {
+  return {rh, rw, st.n, sh * st.h, sw * st.w};
+}
+
+/// Implicit im2col: the lowering of x over the output range `r` for every
+/// sample, read in place — element (tap, position) is the input value that
+/// tap multiplies at that output position (zero margins encode padding).
+MatrixView<const float> lowering_of(const Tensor<float>& x, Origin2 xo,
+                                    const ConvParams& p, const Range2& r) {
+  const auto& st = x.strides();
+  return {x.data(),
+          (r.h0 * p.sh - p.ph - xo.h) * st.h + (r.w0 * p.sw - p.pw - xo.w) * st.w,
+          tap_map(st, p),
+          position_map(st, r.h1 - r.h0, r.w1 - r.w0, p.sh, p.sw)};
+}
+
+/// Channel planes of a buffer over the range `r`, every sample: element
+/// (channel, position) in place.
+template <class T>
+MatrixView<T> planes_of(T* data, const Strides4& st, Origin2 o, const Range2& r) {
+  return {data, (r.h0 - o.h) * st.h + (r.w0 - o.w) * st.w, IndexMap::linear(st.c),
+          position_map(st, r.h1 - r.h0, r.w1 - r.w0)};
+}
+
+/// Implicit-GEMM forward: y (F × positions) = W (F × C·Kh·Kw) · lowering(x),
+/// one GEMM over every sample of the range. The packer gathers x straight
+/// into the B panels and the epilogue writes y in place.
 void conv2d_forward_im2col(const Tensor<float>& x, Origin2 xo,
                            const Tensor<float>& w, Tensor<float>& y, Origin2 yo,
-                           const ConvParams& p, const Range2& r,
-                           std::int64_t strip_elems) {
+                           const ConvParams& p, const Range2& r) {
   const std::int64_t N = y.shape().n;
   const std::int64_t F = w.shape().n;
-  const std::int64_t C = w.shape().c;
-  const std::int64_t ckk = C * p.kh * p.kw;
-  const std::int64_t rw = r.w1 - r.w0;
-  const std::int64_t hb = lowering_strip_height(ckk, rw, strip_elems);
-  std::vector<float> col(static_cast<std::size_t>(ckk) * hb * rw);
-  std::vector<float> out(static_cast<std::size_t>(F) * hb * rw);
-  const auto& yst = y.strides();
-  for (std::int64_t k = 0; k < N; ++k) {
-    for (std::int64_t h0 = r.h0; h0 < r.h1; h0 += hb) {
-      const Range2 rs{h0, std::min(r.h1, h0 + hb), r.w0, r.w1};
-      const std::int64_t rows = rs.area();
-      im2col(x, xo, k, p, rs, col.data());
-      // out (F × rows) = W (F × ckk) · col (ckk × rows)
-      sgemm(false, false, F, rows, ckk, 1.0f, w.data(), ckk, col.data(), rows,
-            0.0f, out.data(), rows);
-      parallel::parallel_for(0, F, 1, [&](std::int64_t f0, std::int64_t f1) {
-        for (std::int64_t f = f0; f < f1; ++f) {
-          const float* src = out.data() + f * rows;
-          for (std::int64_t gh = rs.h0; gh < rs.h1; ++gh) {
-            float* yrow = y.data() + yst.offset(k, f, gh - yo.h, rs.w0 - yo.w);
-            std::copy(src, src + rw, yrow);
-            src += rw;
-          }
-        }
-      });
-    }
-  }
+  const std::int64_t ckk = w.shape().c * p.kh * p.kw;
+  GemmTerm term;
+  term.a = {w.data(), 0, IndexMap::linear(ckk), IndexMap::linear(1)};
+  term.b = lowering_of(x, xo, p, r);
+  gemm(F, N * r.area(), ckk, 1.0f, &term, 1, 0.0f,
+       planes_of(y.data(), y.strides(), yo, r));
 }
 
 /// For a 1×1 stride-1 unpadded layer, a buffer's channel planes *are* the
@@ -396,6 +401,13 @@ void conv2d_forward_gemm_strips(const Tensor<float>& x, Origin2 xo,
 
 }  // namespace
 
+std::int64_t lowering_strip_height(std::int64_t depth, std::int64_t rw,
+                                   std::int64_t elems) {
+  if (elems <= 0) elems = kLoweringStripElems;
+  const std::int64_t target_rows = std::max<std::int64_t>(1, elems / depth);
+  return std::max<std::int64_t>(1, target_rows / std::max<std::int64_t>(1, rw));
+}
+
 void im2col(const Tensor<float>& x, Origin2 xo, std::int64_t sample,
             const ConvParams& p, const Range2& r, float* col) {
   const std::int64_t C = x.shape().c;
@@ -448,7 +460,7 @@ void conv2d_forward(const Tensor<float>& x, Origin2 xo, const Tensor<float>& w,
       conv2d_forward_direct(x, xo, w, y, yo, p, r);
       break;
     case ConvAlgo::kIm2col:
-      conv2d_forward_im2col(x, xo, w, y, yo, p, r, plan.strip_elems);
+      conv2d_forward_im2col(x, xo, w, y, yo, p, r);
       break;
     case ConvAlgo::kGemmStrips:
       conv2d_forward_gemm_strips(x, xo, w, y, yo, p, r, plan.strip_elems);
@@ -466,18 +478,6 @@ void conv2d_forward(const Tensor<float>& x, Origin2 xo, const Tensor<float>& w,
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/// The global output rows/cols whose stencil windows can touch the input
-/// range `r`, clipped to the global output extents.
-Range2 gather_window(const ConvParams& p, const Range2& r, std::int64_t out_h,
-                     std::int64_t out_w) {
-  Range2 win;
-  win.h0 = std::max<std::int64_t>(0, ceil_div(r.h0 + p.ph - p.kh + 1, p.sh));
-  win.h1 = std::min<std::int64_t>(out_h, floor_div(r.h1 - 1 + p.ph, p.sh) + 1);
-  win.w0 = std::max<std::int64_t>(0, ceil_div(r.w0 + p.pw - p.kw + 1, p.sw));
-  win.w1 = std::min<std::int64_t>(out_w, floor_div(r.w1 - 1 + p.pw, p.sw) + 1);
-  return win;
-}
 
 /// Pack `nch` channel planes of `t` over the window `win` into a dense
 /// (nch × win.area()) matrix.
@@ -547,122 +547,68 @@ void conv2d_backward_data_direct(const Tensor<float>& dy, Origin2 dyo,
   });
 }
 
-/// col2im backward data: dcol = Wᵀ · dy over the gather window, scattered
-/// back into dx. Processed in input-row strips so the dcol buffer stays
-/// bounded; each strip owns its dx rows, and within a strip channel c owns
-/// plane (k, c), so the scatter parallelizes over channels with a fixed
-/// (a, b, jh, jw) accumulation order per element.
-///
-/// When kh > sh, consecutive strips' gather windows overlap by the
-/// transposed stencil's reach (~(kh−1)/sh output rows). Each dcol element
-/// depends only on its (jh, jw) output position, so the overlapping rows
-/// are copied out of the previous strip's packed panel instead of being
-/// recomputed — the GEMM and the dy pack run over the fresh rows alone.
-/// Values are bitwise identical either way (the GEMM's per-element k-chain
-/// does not depend on which n-columns share a call).
+/// Implicit col2im backward data. Input positions split into sh × sw
+/// phase classes by (g + pad) mod stride; within a class every position is
+/// reached by the same taps (a, b), each through a dy window shifted by a
+/// whole number of output rows/cols. Per class, one GEMM over all samples
+/// sums one term per tap: Wᵀ_ab (C × F) · dy shifted (F × positions),
+/// masked to the positions whose output (jh, jw) lies inside the global
+/// output extents. Staged terms keep col2im's chain exactly: each tap's
+/// F-sum is formed from zero (the dcol element) and then added into dx in
+/// ascending (a, b) order.
 void conv2d_backward_data_gemm(const Tensor<float>& dy, Origin2 dyo,
                                const Tensor<float>& w, Tensor<float>& dx,
                                Origin2 dxo, const ConvParams& p, const Range2& r,
-                               std::int64_t out_h, std::int64_t out_w,
-                               std::int64_t strip_elems) {
+                               std::int64_t out_h, std::int64_t out_w) {
   const std::int64_t N = dx.shape().n;
   const std::int64_t F = w.shape().n;
   const std::int64_t C = w.shape().c;
-  const std::int64_t ckk = C * p.kh * p.kw;
+  const auto& dyst = dy.strides();
   const auto& dxst = dx.strides();
-  // Strip the input rows; the corresponding output window grows by the
-  // transposed stencil's reach (kh / sh rows).
-  const Range2 full_win = gather_window(p, r, out_h, out_w);
-  const std::int64_t win_w = std::max<std::int64_t>(1, full_win.w1 - full_win.w0);
-  const std::int64_t hb = std::max<std::int64_t>(
-      1, lowering_strip_height(ckk, win_w, strip_elems) * p.sh);
-  std::vector<float> dyp, dcol_a, dcol_b;
-  for (std::int64_t k = 0; k < N; ++k) {
-    std::vector<float>* dcol = &dcol_a;
-    std::vector<float>* dcol_prev = &dcol_b;
-    Range2 prev_win{0, 0, 0, 0};
-    bool prev_valid = false;  // previous strip's panel reusable (same sample)
-    for (std::int64_t g0 = r.h0; g0 < r.h1; g0 += hb) {
-      const Range2 rs{g0, std::min(r.h1, g0 + hb), r.w0, r.w1};
-      const Range2 win = gather_window(p, rs, out_h, out_w);
-      // Zero the strip's dx rows (positions with no contributing outputs
-      // must read 0, and the scatter accumulates).
-      parallel::parallel_for(0, C, 1, [&](std::int64_t c0, std::int64_t c1) {
-        for (std::int64_t c = c0; c < c1; ++c) {
-          for (std::int64_t gi = rs.h0; gi < rs.h1; ++gi) {
-            float* row =
-                dx.data() + dxst.offset(k, c, gi - dxo.h, rs.w0 - dxo.w);
-            std::fill(row, row + (rs.w1 - rs.w0), 0.0f);
-          }
+  // Wᵀ per tap, laid out [a][b][f][c] so each term's A panel reads
+  // contiguous channel runs (the taps of W interleave at stride Kh·Kw).
+  std::vector<float> wt(static_cast<std::size_t>(w.size()));
+  for (std::int64_t f = 0; f < F; ++f) {
+    for (std::int64_t c = 0; c < C; ++c) {
+      for (int a = 0; a < p.kh; ++a) {
+        for (int b = 0; b < p.kw; ++b) {
+          wt[((a * p.kw + b) * F + f) * C + c] = w(f, c, a, b);
         }
-      });
-      if (win.empty()) {
-        prev_valid = false;
-        continue;
       }
-      const std::int64_t rows = win.area();
-      const std::int64_t ww = win.w1 - win.w0;
-      dcol->resize(static_cast<std::size_t>(ckk) * rows);
-      // Output rows [win.h0, prev_win.h1) were packed by the previous strip
-      // (the w-range is strip-invariant); copy them, GEMM the rest.
-      const std::int64_t reuse_rows =
-          prev_valid
-              ? std::max<std::int64_t>(
-                    0, std::min(prev_win.h1, win.h1) - win.h0)
-              : 0;
-      if (reuse_rows > 0) {
-        const std::int64_t prev_rows = prev_win.area();
-        const std::int64_t src_off = (win.h0 - prev_win.h0) * ww;
-        parallel::parallel_for(0, ckk, 1, [&](std::int64_t m0, std::int64_t m1) {
-          for (std::int64_t m = m0; m < m1; ++m) {
-            std::copy(dcol_prev->data() + m * prev_rows + src_off,
-                      dcol_prev->data() + m * prev_rows + src_off +
-                          reuse_rows * ww,
-                      dcol->data() + m * rows);
-          }
-        });
-      }
-      if (win.h0 + reuse_rows < win.h1) {
-        const Range2 fresh{win.h0 + reuse_rows, win.h1, win.w0, win.w1};
-        const std::int64_t fresh_rows = fresh.area();
-        dyp.resize(static_cast<std::size_t>(F) * fresh_rows);
-        pack_window(dy, dyo, k, F, fresh, dyp.data());
-        // dcol[:, fresh] (ckk × fresh_rows) = Wᵀ (ckk × F) · dy (F × fresh_rows)
-        sgemm(true, false, ckk, fresh_rows, F, 1.0f, w.data(), ckk, dyp.data(),
-              fresh_rows, 0.0f, dcol->data() + reuse_rows * ww, rows);
-      }
-      parallel::parallel_for(0, C, 1, [&](std::int64_t c0, std::int64_t c1) {
-        for (std::int64_t c = c0; c < c1; ++c) {
-          for (int a = 0; a < p.kh; ++a) {
-            for (int b = 0; b < p.kw; ++b) {
-              const float* src =
-                  dcol->data() + ((c * p.kh + a) * p.kw + b) * rows;
-              for (std::int64_t jh = win.h0; jh < win.h1; ++jh) {
-                const std::int64_t gi = jh * p.sh - p.ph + a;
-                if (gi < rs.h0 || gi >= rs.h1) continue;
-                const float* srow = src + (jh - win.h0) * ww;
-                float* drow = dx.data() + dxst.offset(k, c, gi - dxo.h, -dxo.w);
-                if (p.sw == 1 && p.pw == b && win.w0 == rs.w0 &&
-                    win.w1 == rs.w1) {
-                  // Fast path: unit horizontal stride with aligned window.
-                  for (std::int64_t jw = win.w0; jw < win.w1; ++jw) {
-                    drow[jw] += srow[jw - win.w0];
-                  }
-                } else {
-                  for (std::int64_t jw = win.w0; jw < win.w1; ++jw) {
-                    const std::int64_t gj = jw * p.sw - p.pw + b;
-                    if (gj < rs.w0 || gj >= rs.w1) continue;
-                    drow[gj] += srow[jw - win.w0];
-                  }
-                }
-              }
-            }
-          }
+    }
+  }
+  std::vector<GemmTerm> terms;
+  for (int qh = 0; qh < p.sh; ++qh) {
+    const std::int64_t gi0 = r.h0 + floor_mod(qh - r.h0 - p.ph, p.sh);
+    const std::int64_t nu = gi0 < r.h1 ? ceil_div(r.h1 - gi0, p.sh) : 0;
+    for (int qw = 0; qw < p.sw; ++qw) {
+      const std::int64_t gj0 = r.w0 + floor_mod(qw - r.w0 - p.pw, p.sw);
+      const std::int64_t nv = gj0 < r.w1 ? ceil_div(r.w1 - gj0, p.sw) : 0;
+      if (nu == 0 || nv == 0) continue;
+      terms.clear();
+      for (int a = qh; a < p.kh; a += p.sh) {
+        const std::int64_t jh0 = floor_div(gi0 + p.ph - a, p.sh);
+        for (int b = qw; b < p.kw; b += p.sw) {
+          const std::int64_t jw0 = floor_div(gj0 + p.pw - b, p.sw);
+          GemmTerm t;
+          t.a = {wt.data(), (a * p.kw + b) * F * C, IndexMap::linear(1),
+                 IndexMap::linear(C)};
+          t.b = {dy.data(), (jh0 - dyo.h) * dyst.h + (jw0 - dyo.w) * dyst.w,
+                 IndexMap::linear(dyst.c), position_map(dyst, nu, nv)};
+          t.mid0 = std::max<std::int64_t>(0, -jh0);
+          t.mid1 = std::min(nu, out_h - jh0);
+          t.inner0 = std::max<std::int64_t>(0, -jw0);
+          t.inner1 = std::min(nv, out_w - jw0);
+          if (t.mid0 < t.mid1 && t.inner0 < t.inner1) terms.push_back(t);
         }
-      });
-      prev_win = win;
-      prev_valid = true;
-      std::swap(dcol, dcol_prev);
+      }
+      const MatrixView<float> out{
+          dx.data(), (gi0 - dxo.h) * dxst.h + (gj0 - dxo.w) * dxst.w,
+          IndexMap::linear(dxst.c), position_map(dxst, nu, nv, p.sh, p.sw)};
+      GemmChain chain;
+      chain.stage_terms = true;
+      gemm(C, N * nu * nv, F, 1.0f, terms.data(),
+           static_cast<int>(terms.size()), 0.0f, out, chain);
     }
   }
 }
@@ -680,8 +626,7 @@ void conv2d_backward_data_gemm_strips(const Tensor<float>& dy, Origin2 dyo,
                                       std::int64_t strip_elems) {
   if (r.h0 < 0 || r.h1 > out_h || r.w0 < 0 || r.w1 > out_w) {
     // The window would clip; keep the general path (identical results).
-    conv2d_backward_data_gemm(dy, dyo, w, dx, dxo, p, r, out_h, out_w,
-                              strip_elems);
+    conv2d_backward_data_gemm(dy, dyo, w, dx, dxo, p, r, out_h, out_w);
     return;
   }
   const std::int64_t N = dx.shape().n;
@@ -757,8 +702,7 @@ void conv2d_backward_data(const Tensor<float>& dy, Origin2 dyo,
       conv2d_backward_data_direct(dy, dyo, w, dx, dxo, p, r, out_h, out_w);
       break;
     case ConvAlgo::kIm2col:
-      conv2d_backward_data_gemm(dy, dyo, w, dx, dxo, p, r, out_h, out_w,
-                                plan.strip_elems);
+      conv2d_backward_data_gemm(dy, dyo, w, dx, dxo, p, r, out_h, out_w);
       break;
     case ConvAlgo::kGemmStrips:
       conv2d_backward_data_gemm_strips(dy, dyo, w, dx, dxo, p, r, out_h, out_w,
@@ -820,32 +764,27 @@ void conv2d_backward_filter_direct(const Tensor<float>& x, Origin2 xo,
   });
 }
 
-/// im2col-transpose backward filter: dw (F × ckk) += dy (F × rows) ·
-/// im2col(x)ᵀ (rows × ckk), accumulated serially over samples and strips so
-/// the per-element chain is fixed.
+/// Implicit-GEMM backward filter: dw (F × C·Kh·Kw) += dy (F × positions) ·
+/// lowering(x)ᵀ, with dy and the x lowering packed in place. The k range
+/// (every sample's positions) is cut per sample into strips of the default
+/// lowering height: the strip sequence is part of dw's accumulation chain.
 void conv2d_backward_filter_gemm(const Tensor<float>& x, Origin2 xo,
                                  const Tensor<float>& dy, Origin2 dyo,
                                  Tensor<float>& dw, const ConvParams& p,
                                  const Range2& r) {
   const std::int64_t N = dy.shape().n;
   const std::int64_t F = dw.shape().n;
-  const std::int64_t C = dw.shape().c;
-  const std::int64_t ckk = C * p.kh * p.kw;
+  const std::int64_t ckk = dw.shape().c * p.kh * p.kw;
   const std::int64_t rw = r.w1 - r.w0;
-  const std::int64_t hb = lowering_strip_height(ckk, rw);
-  std::vector<float> col(static_cast<std::size_t>(ckk) * hb * rw);
-  std::vector<float> dyp(static_cast<std::size_t>(F) * hb * rw);
-  for (std::int64_t k = 0; k < N; ++k) {
-    for (std::int64_t h0 = r.h0; h0 < r.h1; h0 += hb) {
-      const Range2 rs{h0, std::min(r.h1, h0 + hb), r.w0, r.w1};
-      const std::int64_t rows = rs.area();
-      im2col(x, xo, k, p, rs, col.data());
-      pack_window(dy, dyo, k, F, rs, dyp.data());
-      // dw (F × ckk) += dy (F × rows) · col (ckk × rows)ᵀ
-      sgemm(false, true, F, ckk, rows, 1.0f, dyp.data(), rows, col.data(), rows,
-            1.0f, dw.data(), ckk);
-    }
-  }
+  const MatrixView<const float> col = lowering_of(x, xo, p, r);
+  GemmTerm term;
+  term.a = planes_of(dy.data(), dy.strides(), dyo, r);
+  term.b = {col.base, col.off, col.cols, col.rows};  // transposed
+  GemmChain chain;
+  chain.k_period = r.area();
+  chain.k_seg = lowering_strip_height(ckk, rw) * rw;
+  gemm(F, ckk, N * r.area(), 1.0f, &term, 1, 1.0f,
+       {dw.data(), 0, IndexMap::linear(ckk), IndexMap::linear(1)}, chain);
 }
 
 /// Zero-copy backward filter for 1×1 stride-1 unpadded layers: the strips

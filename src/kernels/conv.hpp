@@ -48,8 +48,11 @@ struct Range2 {
 
 enum class ConvAlgo {
   kDirect,      ///< straight loop nests (forward stencil / backward gather)
-  kIm2col,      ///< GEMM-backed: im2col (fwd), col2im (bwd-data),
-                ///< im2col-transpose (bwd-filter)
+  kIm2col,      ///< implicit GEMM: the lowering (im2col for fwd and
+                ///< bwd-filter, per-tap shifted dy windows for col2im
+                ///< bwd-data) is gathered from the margin buffers straight
+                ///< into the tiled GEMM's panels, and outputs are written
+                ///< in place; no lowering buffer exists
   kGemmStrips,  ///< zero-copy GEMM for 1×1 stride-1 unpadded layers: the
                 ///< lowering *is* the tensor, so strips feed buffer planes
                 ///< straight into the tiled GEMM (bitwise == kIm2col; packs
@@ -73,10 +76,12 @@ enum class ConvPass { kForward, kBackwardData, kBackwardFilter };
 /// only cap/home the thread budget (covered by the determinism contract).
 struct ConvPlan {
   ConvAlgo algo = ConvAlgo::kDirect;
-  /// Lowering-strip budget in floats (0 = the default ~2 MiB). Applied to
-  /// the forward and backward-data strips (n-splits); backward-filter always
-  /// keeps the fixed default — its strips split the GEMM k dimension, where
-  /// the strip height is part of the accumulation chain.
+  /// Lowering-strip budget in floats (0 = the default ~2 MiB). Only
+  /// kGemmStrips' forward and backward-data passes read it (n-splits of
+  /// their fallback packing buffers). kIm2col has no lowering buffer to
+  /// strip, and backward-filter always keeps the fixed default — its
+  /// strips split the GEMM k dimension, where the strip height is part of
+  /// the accumulation chain.
   std::int64_t strip_elems = 0;
   int thread_cap = 0;  ///< parallel budget cap (0 = none)
   int numa_node = -1;  ///< preferred NUMA node (-1 = any)
@@ -104,9 +109,9 @@ ConvAlgo conv_algo_override();
 /// on layer constants (channels, filters, kernel) — never on the local
 /// range — so every rank of a distributed run picks the same algorithm and
 /// results stay bitwise reproducible across decompositions. The GEMM path
-/// wins once the contraction depth C·Kh·Kw amortizes the im2col packing
-/// traffic (each packed element is reused F times); the lowering buffer
-/// itself is tiled to a fixed size, so it does not enter the decision.
+/// wins once the contraction depth C·Kh·Kw amortizes the panel-packing
+/// gather (each packed element is reused F times); the range size does not
+/// enter the decision.
 /// This is the planner's fallback (DC_CONV_PLAN=off) and its baseline.
 ConvAlgo resolve_conv_algo(ConvAlgo algo, const ConvParams& p, std::int64_t c,
                            std::int64_t f);
@@ -139,8 +144,9 @@ void conv2d_forward(const Tensor<float>& x, Origin2 xo, const Tensor<float>& w,
 /// Compute dx over the global input range `in_range` by gathering from dy
 /// (Eq. 3 adapted: for each input position, sum the output positions whose
 /// window covers it). `out_h/out_w` are the global output extents used to
-/// clip the gather at domain boundaries. kIm2col computes dcol = Wᵀ·dy with
-/// the tiled GEMM and scatters it back via col2im.
+/// clip the gather at domain boundaries. kIm2col runs col2im implicitly:
+/// per stride phase of the input positions, one GEMM sums a term per tap
+/// (Wᵀ_ab · dy shifted), each tap's F-sum added into dx in (a, b) order.
 void conv2d_backward_data(const Tensor<float>& dy, Origin2 dyo,
                           const Tensor<float>& w, Tensor<float>& dx, Origin2 dxo,
                           const ConvParams& p, const Range2& in_range,
@@ -150,7 +156,7 @@ void conv2d_backward_data(const Tensor<float>& dy, Origin2 dyo,
 /// Accumulate the local contribution to dw over the global output range
 /// `out_range` (Eq. 2 restricted to I(p); the cross-rank allreduce happens at
 /// the layer level). kIm2col computes dw += dy·im2col(x)ᵀ with the tiled
-/// GEMM.
+/// GEMM, packing dy and the lowering of x in place.
 void conv2d_backward_filter(const Tensor<float>& x, Origin2 xo,
                             const Tensor<float>& dy, Origin2 dyo, Tensor<float>& dw,
                             const ConvParams& p, const Range2& out_range,
@@ -181,9 +187,19 @@ void conv2d_backward_filter(const Tensor<float>& x, Origin2 xo,
 // --- im2col helpers (exposed for tests/benchmarks) --------------------------
 
 /// Lower the receptive fields of `out_range` into a (C·Kh·Kw) × (rows)
-/// matrix, rows ordered (h, w) within the range, one sample at a time.
+/// matrix, rows ordered (h, w) within the range, one sample at a time. The
+/// explicit lowering kIm2col gathers implicitly; kGemmStrips' fallback for
+/// non-dense planes and the exactness tests' reference use it.
 void im2col(const Tensor<float>& x, Origin2 xo, std::int64_t sample,
             const ConvParams& p, const Range2& out_range, float* col);
+
+/// Strip height (output rows) for a lowering of depth `depth` floats per
+/// output position over rows of width `rw`, within a budget of `elems`
+/// floats (0 = the default ~2 MiB). Depends only on shapes and the plan,
+/// never on the thread budget. Backward filter cuts its k range (each
+/// sample's positions) into strips of this height at the default budget.
+std::int64_t lowering_strip_height(std::int64_t depth, std::int64_t rw,
+                                   std::int64_t elems = 0);
 
 /// Winograd F(2×2, 3×3) forward for 3×3 stride-1 layers: per 2×2 output
 /// tile, transform the 4×4 input patch (Bᵀ d B), contract per transformed

@@ -91,8 +91,7 @@ ConvPlanMode mode_locked() {
 bool winograd_locked() {
   if (!g_winograd_seeded) {
     g_winograd_seeded = true;
-    const char* s = std::getenv("DC_CONV_WINOGRAD");
-    g_winograd = s != nullptr && s[0] == '1';
+    g_winograd = parse_conv_winograd(std::getenv("DC_CONV_WINOGRAD"));
   }
   return g_winograd;
 }
@@ -327,8 +326,8 @@ double pass_rate(ConvPass pass) {
 /// Model price of one candidate on the canonical workload. A surrogate, not
 /// a simulator: GEMM families run at the calibrated rate, the direct stencil
 /// at a reuse-limited fraction, packing/transform traffic is charged at
-/// memory bandwidth, strips pay a per-strip overhead plus a cache-spill
-/// penalty, and placement trades thread count against single-socket
+/// memory bandwidth, gemm-strips' strips pay a per-strip overhead plus a
+/// cache-spill penalty, and placement trades thread count against single-socket
 /// bandwidth locality. Pure arithmetic on layer constants: deterministic.
 double price_candidate(const ConvPlanKey& key, const ConvPlan& plan) {
   const ConvParams& p = key.p;
@@ -368,14 +367,25 @@ double price_candidate(const ConvPlanKey& key, const ConvPlan& plan) {
       rate_factor = std::max(rate_factor, 0.02);
       break;
     case ConvAlgo::kIm2col:
-      // col write + GEMM re-read, plus the out-copy round trip on forward.
-      pack_bytes += 4.0 * 2.0 * rows * depth;
-      if (key.pass == ConvPass::kForward) {
-        pack_bytes += 4.0 * 2.0 * rows * key.f;
+      // Implicit GEMM: the panel packers gather the lowering straight from
+      // the buffers (strided, through offset tables) and outputs are
+      // written in place — no lowering buffer, no output copy. Charged: one
+      // gather of what each pass lowers.
+      switch (key.pass) {
+        case ConvPass::kForward:
+          pack_bytes += 4.0 * rows * depth;  // im2col(x)
+          break;
+        case ConvPass::kBackwardData:
+          // one shifted dy window per tap
+          pack_bytes += 4.0 * rows * key.f * p.kh * p.kw;
+          break;
+        case ConvPass::kBackwardFilter:
+          pack_bytes += 4.0 * rows * (depth + key.f);  // im2col(x)ᵀ and dy
+          break;
       }
       break;
     case ConvAlgo::kGemmStrips:
-      break;  // zero-copy: no packing at all
+      break;  // dense planes feed the GEMM's unit-stride panel copies
     case ConvAlgo::kWinograd: {
       // 16/36 of the multiplies, plus the tile transforms (~1.2× fudge) and
       // the V/M transform-domain round trips.
@@ -389,7 +399,7 @@ double price_candidate(const ConvPlanKey& key, const ConvPlan& plan) {
   }
 
   double strip_overhead = 0.0;
-  if (plan.algo == ConvAlgo::kIm2col || plan.algo == ConvAlgo::kGemmStrips) {
+  if (plan.algo == ConvAlgo::kGemmStrips) {
     const double se = plan.strip_elems > 0 ? double(plan.strip_elems)
                                            : double(1 << 19);
     const double lowering_bytes = 4.0 * rows * depth;
@@ -439,10 +449,11 @@ std::vector<ConvPlanChoice> enumerate_for(const ConvPlanKey& key,
   std::vector<ConvPlanChoice> out;
   const auto& topo = parallel::numa_topology();
   for (ConvAlgo algo : fams) {
+    // Strips only change a kernel where kGemmStrips splits its forward or
+    // backward-data n range; kIm2col has no lowering buffer to strip.
     std::vector<std::int64_t> strips{0};
     const bool tunable_strips =
-        (algo == ConvAlgo::kIm2col || algo == ConvAlgo::kGemmStrips) &&
-        key.pass != ConvPass::kBackwardFilter;
+        algo == ConvAlgo::kGemmStrips && key.pass != ConvPass::kBackwardFilter;
     if (tunable_strips) strips = {1 << 17, 1 << 19, 1 << 21};
     for (std::int64_t se : strips) {
       std::vector<std::pair<int, int>> places{{0, -1}};  // (cap, node)
@@ -565,6 +576,12 @@ void set_conv_plan_mode(ConvPlanMode mode) {
   std::lock_guard<std::mutex> lock(g_mu);
   g_mode_seeded = true;
   g_mode = mode;
+}
+
+bool parse_conv_winograd(const char* s) {
+  if (s == nullptr || *s == '\0' || std::strcmp(s, "0") == 0) return false;
+  if (std::strcmp(s, "1") == 0) return true;
+  DC_FAIL("DC_CONV_WINOGRAD: invalid value '", s, "' (0|1)");
 }
 
 bool conv_winograd_enabled() {

@@ -10,7 +10,7 @@
 // Env knobs:
 //   DC_CONV_PLAN=model|measure|off   planning mode (default model)
 //   DC_CONV_PLAN_CACHE=<path>        persistent plan cache ("" = in-memory)
-//   DC_CONV_WINOGRAD=1               let plans propose the winograd family
+//   DC_CONV_WINOGRAD=0|1             let plans propose the winograd family
 //                                    (tolerance-mode exactness; default off)
 //   DC_CONV_ALGO=<family>            kernel-layer escape hatch (conv.hpp)
 //
@@ -45,6 +45,9 @@ void set_conv_plan_mode(ConvPlanMode mode);
 /// Whether plans may propose ConvAlgo::kWinograd (DC_CONV_WINOGRAD=1 or
 /// set programmatically). Off by default: winograd is tolerance-mode only.
 bool conv_winograd_enabled();
+/// The DC_CONV_WINOGRAD value: unset, empty or "0" is off, "1" is on;
+/// anything else raises distconv::Error naming the knob.
+bool parse_conv_winograd(const char* s);
 void set_conv_winograd_enabled(bool on);
 
 /// Rank-uniform plan key: layer constants and the pass, nothing local.

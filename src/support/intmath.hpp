@@ -16,4 +16,9 @@ inline std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   return -floor_div(-a, b);
 }
 
+/// a mod b in [0, b) for b > 0.
+inline std::int64_t floor_mod(std::int64_t a, std::int64_t b) {
+  return a - floor_div(a, b) * b;
+}
+
 }  // namespace distconv

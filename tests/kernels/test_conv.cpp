@@ -257,12 +257,10 @@ TEST_P(ConvSweep, ThreadCountDeterminism) {
   EXPECT_EQ(0, std::memcmp(dw1.data(), dw8.data(), dw1.size() * sizeof(float)));
 }
 
-// Shapes large enough that the GEMM backward-data path runs several
-// lowering strips per sample (ckk · win rows > the ~2 MiB strip budget),
-// with kh > sh so consecutive strips' gather windows overlap: the packed
-// dcol boundary rows are reused from the previous strip instead of being
-// recomputed. The reuse must be invisible — identical to the oracle, to
-// the direct kernel, across a split input range, and for any thread count.
+// Deep shapes (ckk · output rows far past the ~2 MiB lowering-strip budget)
+// with kh > sh, so neighbouring input rows share output windows and several
+// stride phases each sum several taps. Backward data must match the oracle,
+// across a split input range, and for any thread count.
 struct StripCase {
   std::int64_t c, h, w, f;
   int k, s;

@@ -13,6 +13,7 @@
 #include "kernels/conv.hpp"
 #include "perf/conv_planner.hpp"
 #include "support/crc32.hpp"
+#include "support/error.hpp"
 
 namespace distconv::perf {
 namespace {
@@ -67,12 +68,14 @@ TEST(ConvPlanner, SelectionStaysInLegacyFamilyClass) {
       conv_plan_for(ConvPass::kForward, shallow, /*c=*/2, /*f=*/4);
   EXPECT_EQ(direct_plan.algo, ConvAlgo::kDirect);
 
-  // A deep 1×1 layer the heuristic runs im2col: gemm-strips (bitwise equal)
-  // may and should take over, since it drops the pack entirely.
+  // A deep 1×1 layer the heuristic runs im2col: gemm-strips is selectable
+  // (bitwise equal), but implicit im2col has no lowering buffer left for it
+  // to drop and runs one GEMM where gemm-strips launches one per strip, so
+  // the model keeps im2col.
   const ConvParams one{1, 1, 1, 1, 0, 0};
   const ConvPlan gemm_plan =
       conv_plan_for(ConvPass::kForward, one, /*c=*/512, /*f=*/128);
-  EXPECT_EQ(gemm_plan.algo, ConvAlgo::kGemmStrips);
+  EXPECT_EQ(gemm_plan.algo, ConvAlgo::kIm2col);
 
   // A deep 3×3 layer stays in the im2col family while winograd is off…
   const ConvParams deep3{3, 3, 1, 1, 1, 1};
@@ -93,6 +96,25 @@ TEST(ConvPlanner, WinogradRequiresOptIn) {
             ConvAlgo::kWinograd);
   EXPECT_NE(conv_plan_for(ConvPass::kBackwardFilter, deep3, 128, 128).algo,
             ConvAlgo::kWinograd);
+}
+
+TEST(ConvPlanner, WinogradKnobAcceptsExactlyZeroOrOne) {
+  EXPECT_FALSE(parse_conv_winograd(nullptr));
+  EXPECT_FALSE(parse_conv_winograd(""));
+  EXPECT_FALSE(parse_conv_winograd("0"));
+  EXPECT_TRUE(parse_conv_winograd("1"));
+  // Values that used to slip through the first-character test: "yes" left
+  // winograd silently off and "10" turned it on.
+  for (const char* bad : {"yes", "10", "01", "true", " 1", "1 ", "on", "-1"}) {
+    try {
+      parse_conv_winograd(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("DC_CONV_WINOGRAD"), std::string::npos) << what;
+      EXPECT_NE(what.find("(0|1)"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(ConvPlanner, OffModeIsTheLegacyHeuristic) {

@@ -251,7 +251,8 @@ void check_train(const Value& base, const Value& fresh, double thru_tol,
     best_speedup = std::max(best_speedup, num(*fl, "speedup"));
   }
   // The planner must keep beating the heuristic on at least one paper shape
-  // (res3b rides gemm-strips' dropped im2col pack well past this floor).
+  // (implicit im2col left gemm-strips no pack to drop, so planned and kAuto
+  // rows now mostly run the same kernel).
   // The floor, not a historical value, is the reference.
   {
     Gate g{"best.speedup", speedup_floor, best_speedup, speedup_floor,
