@@ -225,16 +225,21 @@ void pack_b(const MatrixView<const float>& b, std::int64_t cols,
           dst[c] = src1[(c - split) * step];
         }
       }
+    } else if (s.strip_full[t0 / kNr]) {
+      // Uneven columns (kernel taps): gather a column at a time down k,
+      // where consecutive k are neighbouring positions, so reads stream.
+      for (std::int64_t c = 0; c < kNr; ++c) {
+        const float* src = base + co[c];
+        for (std::int64_t kk = 0; kk < kc; ++kk) {
+          dst[kk * kNr + c] = src[s.b_rows[kk]];
+        }
+      }
     } else {
       const std::int64_t width = std::min(kNr, cols - t0);
       for (std::int64_t kk = 0; kk < kc; ++kk, dst += kNr) {
         const float* src = base + s.b_rows[kk];
-        if (s.strip_full[t0 / kNr]) {
-          for (std::int64_t c = 0; c < kNr; ++c) dst[c] = src[co[c]];
-        } else {
-          for (std::int64_t c = 0; c < kNr; ++c) {
-            dst[c] = c < width && s.valid[t0 + c] ? src[co[c]] : 0.0f;
-          }
+        for (std::int64_t c = 0; c < kNr; ++c) {
+          dst[c] = c < width && s.valid[t0 + c] ? src[co[c]] : 0.0f;
         }
       }
     }
