@@ -14,6 +14,7 @@
 #include "kernels/pooling.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "tensor/margins.hpp"
 
 namespace {
 
@@ -98,6 +99,100 @@ void bench_backward_filter(benchmark::State& state, const LayerArgs& a,
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
                                                     conv_flops(a)));
+}
+
+// ---------------------------------------------------------------------------
+// Rank shards of e2ebench's mesh-spatial workload: the mesh model on 4×256²
+// samples split two ways over H, timed as rank 0 holds them. dy carries the
+// transpose-stencil margins the model gives it where dx is live, so backward
+// data reads its window from a margin buffer as in training. Kept out of
+// kKernelShapes/kPlannerShapes: the calibration table and BENCH_train.json
+// do not time these.
+// ---------------------------------------------------------------------------
+
+/// One conv layer of a rank shard: n samples, c → f channels, k×k stride s
+/// (pad k/2), an oh × ow output block of a 2·oh-row global output.
+struct ShardArgs {
+  std::int64_t n, c, f;
+  int k, s;
+  std::int64_t oh, ow;
+};
+
+constexpr ShardArgs kShardConv11{4, 4, 8, 5, 2, 64, 128};
+constexpr ShardArgs kShardConv21{4, 8, 10, 3, 2, 32, 64};
+constexpr ShardArgs kShardConv31{4, 10, 12, 3, 2, 16, 32};
+
+/// Rank 0's buffers for one shard layer; every buffer, margins included,
+/// holds random values.
+struct Shard {
+  ConvParams p;
+  std::int64_t ih, iw;  ///< the rank's input block (= its dx range)
+  Range2 out;           ///< the rank's output block (= its y / dy range)
+  Tensor<float> x, w, y, dy, dx, dw;
+  Origin2 xo, dyo;
+
+  explicit Shard(const ShardArgs& a)
+      : p{a.k, a.k, a.s, a.s, a.k / 2, a.k / 2},
+        ih(a.oh * a.s),
+        iw(a.ow * a.s),
+        out{0, a.oh, 0, a.ow},
+        x(Shape4{a.n, a.c, ih + 2 * p.ph, iw + 2 * p.pw}),
+        w(Shape4{a.f, a.c, a.k, a.k}),
+        y(Shape4{a.n, a.f, a.oh, a.ow}),
+        dx(Shape4{a.n, a.c, ih, iw}),
+        dw(Shape4{a.f, a.c, a.k, a.k}),
+        xo{-p.ph, -p.pw} {
+    const StencilSpec st{a.k, a.s, a.k / 2};
+    const MarginTable mh = transpose_stencil_margins(
+        DimPartition(2 * ih, 2), DimPartition(2 * a.oh, 2), st);
+    const MarginTable mw = transpose_stencil_margins(
+        DimPartition(iw, 1), DimPartition(a.ow, 1), st);
+    dy = Tensor<float>(Shape4{a.n, a.f, a.oh + mh.lo[0] + mh.hi[0],
+                              a.ow + mw.lo[0] + mw.hi[0]});
+    dyo = Origin2{-mh.lo[0], -mw.lo[0]};
+    Rng rng(10);
+    x.fill_uniform(rng);
+    w.fill_uniform(rng);
+    dy.fill_uniform(rng);
+  }
+
+  double flops() const {
+    return 2.0 * double(y.size()) * w.shape().c * p.kh * p.kw;
+  }
+};
+
+void bench_shard_forward(benchmark::State& state, const ShardArgs& a) {
+  Shard s(a);
+  for (auto _ : state) {
+    conv2d_forward(s.x, s.xo, s.w, s.y, Origin2{0, 0}, s.p, s.out,
+                   ConvAlgo::kIm2col);
+    benchmark::DoNotOptimize(s.y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * s.flops()));
+}
+
+void bench_shard_backward_data(benchmark::State& state, const ShardArgs& a) {
+  Shard s(a);
+  for (auto _ : state) {
+    conv2d_backward_data(s.dy, s.dyo, s.w, s.dx, Origin2{0, 0}, s.p,
+                         Range2{0, s.ih, 0, s.iw}, 2 * a.oh, a.ow,
+                         ConvAlgo::kIm2col);
+    benchmark::DoNotOptimize(s.dx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * s.flops()));
+}
+
+void bench_shard_backward_filter(benchmark::State& state, const ShardArgs& a) {
+  Shard s(a);
+  for (auto _ : state) {
+    conv2d_backward_filter(s.x, s.xo, s.dy, s.dyo, s.dw, s.p, s.out, false,
+                           ConvAlgo::kIm2col);
+    benchmark::DoNotOptimize(s.dw.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * s.flops()));
 }
 
 void bench_pool(benchmark::State& state, PoolMode mode) {
@@ -189,6 +284,15 @@ BENCHMARK_CAPTURE(bench_backward_filter, mesh_conv6_1_direct, kMesh61,
                   ConvAlgo::kDirect);
 BENCHMARK_CAPTURE(bench_backward_filter, mesh_conv6_1_gemm, kMesh61,
                   ConvAlgo::kIm2col);
+BENCHMARK_CAPTURE(bench_shard_forward, mesh_spatial_conv1_1, kShardConv11);
+BENCHMARK_CAPTURE(bench_shard_backward_data, mesh_spatial_conv1_1, kShardConv11);
+BENCHMARK_CAPTURE(bench_shard_backward_filter, mesh_spatial_conv1_1, kShardConv11);
+BENCHMARK_CAPTURE(bench_shard_forward, mesh_spatial_conv2_1, kShardConv21);
+BENCHMARK_CAPTURE(bench_shard_backward_data, mesh_spatial_conv2_1, kShardConv21);
+BENCHMARK_CAPTURE(bench_shard_backward_filter, mesh_spatial_conv2_1, kShardConv21);
+BENCHMARK_CAPTURE(bench_shard_forward, mesh_spatial_conv3_1, kShardConv31);
+BENCHMARK_CAPTURE(bench_shard_backward_data, mesh_spatial_conv3_1, kShardConv31);
+BENCHMARK_CAPTURE(bench_shard_backward_filter, mesh_spatial_conv3_1, kShardConv31);
 BENCHMARK_CAPTURE(bench_pool, max, distconv::kernels::PoolMode::kMax);
 BENCHMARK_CAPTURE(bench_pool, average, distconv::kernels::PoolMode::kAverage);
 BENCHMARK_CAPTURE(bench_gemm, conv1, kConv1);

@@ -565,18 +565,7 @@ void conv2d_backward_data_gemm(const Tensor<float>& dy, Origin2 dyo,
   const std::int64_t C = w.shape().c;
   const auto& dyst = dy.strides();
   const auto& dxst = dx.strides();
-  // Wᵀ per tap, laid out [a][b][f][c] so each term's A panel reads
-  // contiguous channel runs (the taps of W interleave at stride Kh·Kw).
-  std::vector<float> wt(static_cast<std::size_t>(w.size()));
-  for (std::int64_t f = 0; f < F; ++f) {
-    for (std::int64_t c = 0; c < C; ++c) {
-      for (int a = 0; a < p.kh; ++a) {
-        for (int b = 0; b < p.kw; ++b) {
-          wt[((a * p.kw + b) * F + f) * C + c] = w(f, c, a, b);
-        }
-      }
-    }
-  }
+  const std::int64_t taps = p.kh * p.kw;
   std::vector<GemmTerm> terms;
   for (int qh = 0; qh < p.sh; ++qh) {
     const std::int64_t gi0 = r.h0 + floor_mod(qh - r.h0 - p.ph, p.sh);
@@ -591,8 +580,9 @@ void conv2d_backward_data_gemm(const Tensor<float>& dy, Origin2 dyo,
         for (int b = qw; b < p.kw; b += p.sw) {
           const std::int64_t jw0 = floor_div(gj0 + p.pw - b, p.sw);
           GemmTerm t;
-          t.a = {wt.data(), (a * p.kw + b) * F * C, IndexMap::linear(1),
-                 IndexMap::linear(C)};
+          // Wᵀ_ab in place: element (c, f) is w(f, c, a, b).
+          t.a = {w.data(), a * p.kw + b, IndexMap::linear(taps),
+                 IndexMap::linear(C * taps)};
           t.b = {dy.data(), (jh0 - dyo.h) * dyst.h + (jw0 - dyo.w) * dyst.w,
                  IndexMap::linear(dyst.c), position_map(dyst, nu, nv)};
           t.mid0 = std::max<std::int64_t>(0, -jh0);

@@ -313,6 +313,57 @@ TEST_P(ImplicitGemm, BackwardDataMatchesExplicitLowering) {
   }
 }
 
+// Output rows wider than 48 that do not divide 256: backward filter's
+// k-blocks start mid-row, so the transposing tap packer meets runs of
+// positions that begin and end off its 8-row blocks, and every sample's k
+// range ends in a partial block.
+INSTANTIATE_TEST_SUITE_P(
+    WideRows, ImplicitGemm,
+    ::testing::Values(Case{2, 3, 7, 13, 100, 5, 2, 2}),  // 7×50 outputs
+    [](const ::testing::TestParamInfo<Case>& info) {
+      std::ostringstream os;
+      os << info.param;
+      return os.str();
+    });
+
+// Backward data with dy held without margins (origin {0, 0}, exactly the
+// output extents), as bench/micro_kernels passes it. Tap windows are cut at
+// the buffer's edges, so a read outside a tap's window leaves the
+// allocation, where the address sanitizer sees it.
+TEST(ImplicitGemmDyWithoutMargins, BackwardDataMatchesExplicitLowering) {
+  for (const Case& cs :
+       {Case{2, 4, 8, 21, 37, 5, 2, 2}, Case{2, 4, 8, 17, 31, 3, 1, 1},
+        Case{1, 5, 9, 19, 26, 3, 2, 1}, Case{1, 2, 6, 23, 29, 7, 2, 3}}) {
+    const Buffers b(cs);
+    Tensor<float> dy(Shape4{cs.n, cs.f, b.oh, b.ow});
+    for (std::int64_t k = 0; k < cs.n; ++k) {
+      for (std::int64_t f = 0; f < cs.f; ++f) {
+        for (std::int64_t h = 0; h < b.oh; ++h) {
+          for (std::int64_t w = 0; w < b.ow; ++w) {
+            dy(k, f, h, w) = b.dy(k, f, h - b.dyo.h, w - b.dyo.w);
+          }
+        }
+      }
+    }
+    for (const auto& ranges : range_sets(cs.h, cs.w)) {
+      Tensor<float> ref = b.dx;
+      for (const Range2& r : ranges) {
+        ref_backward_data(dy, Origin2{0, 0}, b.w, ref, b.dxo, b.p, r, b.oh, b.ow);
+      }
+      for (int threads : {1, 3, 8}) {
+        parallel::ThreadGuard guard(threads);
+        Tensor<float> dx = b.dx;
+        for (const Range2& r : ranges) {
+          conv2d_backward_data(dy, Origin2{0, 0}, b.w, dx, b.dxo, b.p, r, b.oh,
+                               b.ow, ConvAlgo::kIm2col);
+        }
+        EXPECT_TRUE(same_bits(dx, ref)) << cs << " threads=" << threads
+                                        << " ranges=" << ranges.size();
+      }
+    }
+  }
+}
+
 // The plain-matrix entry point and the strided-view driver it wraps share
 // one k-chain: a GEMM with k > 256 through transposed views, alpha folded
 // into A and beta = 0.5 on C, equals the same product assembled as two
